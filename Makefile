@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench bench-json bench-parallel bench-plancache bench-match bench-stream bench-disasm bench-cluster servertest clustercheck fuzzshort fuzzhostile ci
+.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench bench-json bench-parallel bench-plancache bench-match bench-stream bench-disasm bench-cluster benchsmoke servertest clustercheck fuzzshort fuzzhostile ci
 
 all: build test
 
@@ -45,9 +45,10 @@ enginecheck:
 
 # plancheck verifies the plan/apply split: plan determinism, golden
 # JSON schema, serialization round trips, and Plan+Apply byte-identity
-# with the legacy monolithic rewrite over the difftest corpus (every
-# binary x tactic config x parallelism width), plus the plan IR unit
-# tests and the server's plan-cache rematerialization path.
+# with the direct Rewrite (which composes from the live rewriter, no
+# plan in between) over the difftest corpus (every binary x tactic
+# config x parallelism width), plus the plan IR unit tests and the
+# server's plan-cache rematerialization path.
 plancheck:
 	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
 	$(GO) test ./internal/plan/
@@ -116,12 +117,13 @@ rpccheck:
 # byte-identity at every width, the superset ⊇ linear differential over
 # every workload profile, the CET anchor-closure unit and profile
 # suites, end-to-end superset-cet rewrites of CET and DSO binaries
-# verified under the emulator, plan↔mode digest binding, the .so
+# verified under the emulator, plain-superset trampolines that must
+# reach far branch targets exactly, plan↔mode digest binding, the .so
 # builder/parser geometry, the modern workload rows, and a short
 # exploration of the superset-prune fuzzer.
 disasmcheck:
 	$(GO) test ./internal/disasm/
-	$(GO) test -run 'TestDisasm|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
+	$(GO) test -run 'TestDisasm|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats|TestSupersetFarBranchTargets' .
 	$(GO) test -run 'TestSharedBuildRoundTrip|TestInitSegmentSpans|TestTextRange|TestExecSpans|TestBuildBackCompat' ./internal/elf64/
 	$(GO) test -run 'TestModernProfiles|TestPaperSharedRowsUnchanged' ./internal/workload/
 	$(GO) test -run 'TestSpecDisasm' ./internal/server/
@@ -134,6 +136,14 @@ disasmcheck:
 # plus the CET and DSO profiles.
 bench-disasm:
 	$(GO) run ./cmd/e9bench -disasm -json BENCH_disasm.json
+
+# benchsmoke runs the benchmark module's own tests (perfbench is a
+# separate module, so `go test ./...` never reaches them): seed
+# determinism, and a tiny plain and traced run of every workload. The
+# traced run requires Rewrite, the recomposed output, ApplyTrusted and
+# Stream to be byte-identical.
+benchsmoke:
+	cd perfbench && GOPROXY=off $(GO) test ./...
 
 # servertest is the e9served smoke test: build the real binary, start
 # it on an ephemeral port, POST a corpus binary, and check the output
@@ -175,4 +185,4 @@ fuzzhostile:
 	$(GO) test -run 'TestHostile|TestLibraryLimits|TestMmapFallbackDifferential' -count 1 .
 	$(GO) test -run '^FuzzRewriteHostileELF$$' -fuzz '^FuzzRewriteHostileELF$$' -fuzztime 10s .
 
-ci: fmt vet race difftest enginecheck plancheck speccheck rpccheck disasmcheck servertest clustercheck fuzzshort fuzzhostile
+ci: fmt vet race difftest enginecheck plancheck speccheck rpccheck disasmcheck benchsmoke servertest clustercheck fuzzshort fuzzhostile

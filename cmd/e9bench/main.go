@@ -480,7 +480,7 @@ func main() {
 		fmt.Printf("  stream:   peak RSS %7.1f MB  %9d allocs  %7.2fs\n",
 			float64(sb.StreamPeakBytes)/1e6, sb.StreamAllocs, sb.StreamSec)
 		fmt.Printf("  saved %.1f MB of peak RSS (budget %.1f MB, under budget: %v)\n",
-			float64(sb.BufferedPeakBytes-sb.StreamPeakBytes)/1e6, float64(sb.BudgetBytes)/1e6, sb.UnderBudget)
+			(float64(sb.BufferedPeakBytes)-float64(sb.StreamPeakBytes))/1e6, float64(sb.BudgetBytes)/1e6, sb.UnderBudget)
 		if !sb.Identical {
 			fail(fmt.Errorf("streamed output diverged from buffered rewrite"))
 		}

@@ -294,3 +294,84 @@ func TestSupersetRewriteReportsStats(t *testing.T) {
 		t.Errorf("stats inconsistent: %+v", res.Recovery)
 	}
 }
+
+// TestSupersetFarBranchTargets rewrites a plain-superset CET profile
+// under A1. The superset keeps pseudo-instructions decoded inside other
+// instructions, and some of their rel32 targets lie gigabytes outside
+// the image. Every direct branch a trampoline emits must still decode
+// to the displaced instruction's original target (or its resume
+// address): a target out of rel32 reach must fail the placement, never
+// wrap to an address 4 GiB away.
+func TestSupersetFarBranchTargets(t *testing.T) {
+	p, err := workload.ProfileByName("nginx-cet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 0.02
+	prog, err := workload.BuildStatic(p, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Select:     SelectJumps,
+		Disasm:     DisasmSuperset,
+		SkipPrefix: workload.DataPrefixBytes(p, scale),
+		ReserveVA:  workload.ReserveVA(),
+	}
+	pl, err := Plan(prog.ELF, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := elf64.Parse(prog.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textOff, _, textSize, err := f.TextRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := prog.ELF[textOff : textOff+textSize]
+	decode := func(addr uint64) x86.Inst {
+		in, err := x86.Decode(text[addr-pl.TextAddr:], addr)
+		if err != nil {
+			t.Fatalf("instruction at %#x: %v", addr, err)
+		}
+		return in
+	}
+	// far counts selected sites whose target lies more than 1 GiB away,
+	// so the test notices if the profile stops producing the case it
+	// exists for.
+	far, checked := 0, 0
+	for _, s := range pl.Sites {
+		if in := decode(s.Addr); in.IsDirectBranch() {
+			if d := int64(in.Target() - s.Addr); d < -1<<30 || d > 1<<30 {
+				far++
+			}
+		}
+		for _, tr := range s.Trampolines {
+			orig := decode(tr.For)
+			if !orig.IsDirectBranch() {
+				continue
+			}
+			resume := tr.For + uint64(orig.Len)
+			for off := 0; off < len(tr.Code); {
+				in, err := x86.Decode(tr.Code[off:], tr.Addr+uint64(off))
+				if err != nil {
+					t.Fatalf("trampoline %#x for %#x: %v", tr.Addr, tr.For, err)
+				}
+				if in.IsDirectBranch() {
+					checked++
+					if got := in.Target(); got != orig.Target() && got != resume {
+						t.Errorf("trampoline %#x for %#x (% x): branch reaches %#x, want %#x or resume %#x",
+							tr.Addr, tr.For, orig.Bytes, got, orig.Target(), resume)
+					}
+				}
+				off += in.Len
+			}
+		}
+	}
+	if checked == 0 || far == 0 {
+		t.Fatalf("degenerate workload: %d trampoline branches checked, %d far sites", checked, far)
+	}
+	t.Logf("%d sites, %d trampoline branches checked, %d far sites", len(pl.Sites), checked, far)
+}

@@ -245,9 +245,9 @@ type Result struct {
 	// ("linear", "superset" or "superset-cet").
 	Disasm string
 	// Recovery carries the superset frontend's decode/prune statistics.
-	// It is nil for linear mode and whenever recovery did not run
-	// in-process (the trusted apply step inside Rewrite replays the
-	// plan's decisions without re-disassembling).
+	// It is nil for linear mode and whenever recovery did not run in
+	// this call: ApplyTrusted, and Apply of a plan without a universe
+	// digest, replay the plan's decisions without re-disassembling.
 	Recovery *DisasmStats
 	// Bias is the load bias used during patching (PIEBase for PIE).
 	Bias uint64
@@ -288,10 +288,12 @@ func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 // Rewrite statically rewrites the binary according to cfg. The input
 // slice is not modified.
 //
-// Rewrite is Plan followed by Apply: every decision is first recorded
-// into a PatchPlan, then a decision-free materializer replays the plan
-// onto the input. Callers that want the intermediate artefact (to
-// cache, audit or ship it) use the two phases directly.
+// Rewrite is a one-selection Stream: it parses and disassembles the
+// input once, runs cfg.Select, decides every patch location and
+// composes the output straight from the live rewriter's state, with no
+// PatchPlan in between. Callers that want the intermediate artefact (to
+// cache, audit or ship it) use Plan and Apply, which reproduce
+// Rewrite's output byte-for-byte.
 func Rewrite(input []byte, cfg Config) (*Result, error) {
 	return RewriteContext(context.Background(), input, cfg)
 }
@@ -320,23 +322,15 @@ func phaseDeadline(ctx context.Context, d time.Duration) (context.Context, conte
 // trampoline/group → emit) and inside the patching loop, so a rewrite
 // whose caller has gone away stops early instead of emitting an output
 // nobody will read. The returned error wraps ctx.Err() when aborted.
+// Like PlanContext it is a recovery boundary: an escaped panic comes
+// back as ErrInternal.
 func RewriteContext(ctx context.Context, input []byte, cfg Config) (_ *Result, err error) {
-	p, st, err := planContext(ctx, input, cfg)
+	defer e9err.Recover("rewrite", &err)
+	st, selected, warnings, err := openSelected(ctx, input, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The plan was produced in-process an instant ago from this very
-	// input: its universe digest is trusted rather than re-derived, so
-	// Rewrite pays for instruction recovery exactly once.
-	defer e9err.Recover("apply", &err)
-	res, err := applyContext(ctx, input, p, false)
-	if err != nil {
-		return nil, err
-	}
-	// The trusted apply skipped re-recovery; surface the planning
-	// phase's recovery statistics on the one-shot result.
-	res.Recovery = st.sstats
-	return res, nil
+	return st.finish(ctx, input, &cfg, selected, warnings)
 }
 
 // Plan runs the decision phase only: disassemble, match, run the S1
@@ -354,37 +348,33 @@ func Plan(input []byte, cfg Config) (*PatchPlan, error) {
 // recovery boundary: a panic escaping the pipeline — a rewriter bug
 // tripped by unforeseen input — is contained and returned as
 // ErrInternal with the stack attached, never propagated to the caller.
-func PlanContext(ctx context.Context, input []byte, cfg Config) (*PatchPlan, error) {
-	p, _, err := planContext(ctx, input, cfg)
-	return p, err
-}
-
-// planContext is PlanContext returning the pipeline state alongside
-// the plan, so in-process callers (RewriteContext) can surface
-// planning-phase statistics without re-running recovery.
-func planContext(ctx context.Context, input []byte, cfg Config) (_ *PatchPlan, _ *planPipeline, err error) {
+func PlanContext(ctx context.Context, input []byte, cfg Config) (_ *PatchPlan, err error) {
 	defer e9err.Recover("plan", &err)
-	st, err := runPlanPipeline(ctx, input, cfg, false)
+	st, selected, warnings, err := openSelected(ctx, input, &cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	rw, inject, err := finishPlanPhase(ctx, st, &cfg, selected, false)
+	if err != nil {
+		return nil, err
 	}
 	p := &plan.PatchPlan{
 		Version:      plan.Version,
 		Bias:         st.bias,
 		TextAddr:     st.textAddr + st.bias,
-		TextLen:      st.textLen,
-		Granularity:  st.gran,
+		TextLen:      len(st.text),
+		Granularity:  cfg.Granularity,
 		SkipPrefix:   cfg.SkipPrefix,
 		Disasm:       string(st.mode),
-		DisasmDigest: st.digest,
-		Insts:        st.insts,
+		DisasmDigest: st.universeDigest(),
+		Insts:        len(st.insts),
 		BadBytes:     st.badBytes,
-		Warnings:     st.warnings,
-		Injections:   st.inject,
-		Sites:        st.rw.Sites(),
+		Warnings:     warnings,
+		Injections:   inject,
+		Sites:        rw.Sites(),
 	}
 	p.BindInput(input)
-	return p, st, nil
+	return p, nil
 }
 
 // Apply materializes a plan onto input: replay the recorded byte
@@ -440,7 +430,7 @@ func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Re
 
 // applyContext materializes a plan. verifyUniverse selects whether the
 // recorded disassembly digest is re-derived and checked (the public
-// Apply surface) or trusted (the in-process Rewrite fast path).
+// Apply surface) or trusted (ApplyTrusted).
 func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUniverse bool) (*Result, error) {
 	if p == nil {
 		return nil, e9err.Malformed("apply", "e9patch: nil plan")
@@ -589,9 +579,9 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 	}, nil
 }
 
-// pipelineState is the parse+disassembly outcome shared by the
-// one-shot pipeline and the streaming session: the decision phases that
-// follow (selection, injections, patching) all run against it.
+// pipelineState is the parse+disassembly outcome shared by Rewrite,
+// Plan and the streaming session: the decision phases that follow
+// (selection, injections, patching) all run against it.
 type pipelineState struct {
 	f        *elf64.File
 	bias     uint64
@@ -614,11 +604,9 @@ func (st *pipelineState) universeDigest() string {
 // openPipeline runs the front half of the decision pipeline: normalize
 // the configuration, enforce the input-side limits, parse the ELF and
 // disassemble .text. cfg is normalized in place (template and
-// granularity defaults). When private is set the binary is copied first
-// so a later in-place materialization (rewriteLegacy) cannot touch the
-// caller's bytes; the zero-copy paths pass private=false and are
-// guaranteed read-only access to input — it may be an mmap view.
-func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) (*pipelineState, error) {
+// granularity defaults). The pipeline only ever reads input, so it may
+// be a read-only mmap view.
+func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineState, error) {
 	if cfg.Template == nil {
 		cfg.Template = trampoline.Empty{}
 	}
@@ -643,12 +631,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) 
 		return nil, err
 	}
 
-	data := input
-	if private {
-		data = make([]byte, len(input))
-		copy(data, input)
-	}
-	f, err := elf64.Parse(data)
+	f, err := elf64.Parse(input)
 	if err != nil {
 		return nil, err
 	}
@@ -717,7 +700,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) 
 // the S1 reverse-order patch loop with trampoline allocation. selected
 // holds instruction indices in ascending order. skipPlan drops the
 // per-location plan record for consumers that materialize straight
-// from the live rewriter (the streaming session).
+// from the live rewriter (Rewrite and the streaming session).
 func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int, skipPlan bool) (*patch.Rewriter, []plan.Injection, error) {
 	lim := cfg.Limits
 
@@ -810,70 +793,65 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	return rw, inject, nil
 }
 
-// planPipeline is the state the decision phase hands to its consumers
-// (PlanContext, and rewriteLegacy for the differential reference).
-type planPipeline struct {
-	f        *elf64.File
-	bias     uint64
-	textAddr uint64 // link-time .text address
-	textLen  int
-	rw       *patch.Rewriter
-	insts    int
-	badBytes int
-	warnings []string
-	gran     int // normalized granularity (negative: naive emission)
-	inject   []plan.Injection
-	mode     disasm.Mode
-	digest   string                // universe digest of the recovered set
-	sstats   *disasm.SupersetStats // nil for linear mode
-}
-
-// runPlanPipeline executes the decision phases: parse → sharded
-// disassembly → match → S1 reverse-order patching with trampoline
-// allocation. The input slice is never written; private selects whether
-// the parsed file gets its own copy of the bytes (required only when
-// the caller will materialize in place afterwards, i.e. rewriteLegacy —
-// the plan-only path reads the input and nothing else).
-func runPlanPipeline(ctx context.Context, input []byte, cfg Config, private bool) (*planPipeline, error) {
+// openSelected is the front half Rewrite and Plan share: open the
+// pipeline, run the one selector (sharded when it is shard-safe),
+// enforce the patch-site limit and diagnose an empty selection.
+func openSelected(ctx context.Context, input []byte, cfg *Config) (*pipelineState, []int, []string, error) {
 	if cfg.Select == nil {
-		return nil, errors.New("e9patch: Config.Select is required")
+		return nil, nil, nil, errors.New("e9patch: Config.Select is required")
 	}
-	st, err := openPipeline(ctx, input, &cfg, private)
+	st, err := openPipeline(ctx, input, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-
-	// Match phase: run the selector over the disassembly, sharded when
-	// the selector is registered as per-instruction pure.
 	if err := ctxErr(ctx); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	selected := parallelSelect(cfg.Select, st.insts, st.width, cfg.Pool)
 	if lim := cfg.Limits; lim.MaxPatchSites > 0 && len(selected) > lim.MaxPatchSites {
-		return nil, e9err.Limit("match", e9err.ReasonTooManySites,
+		return nil, nil, nil, e9err.Limit("match", e9err.ReasonTooManySites,
 			"e9patch: selector chose %d patch sites, limit is %d", len(selected), lim.MaxPatchSites)
 	}
-	warnings := diagnoseSelection(cfg.Select, st.insts, selected, st.bias)
+	return st, selected, diagnoseSelection(cfg.Select, st.insts, selected, st.bias), nil
+}
 
-	rw, inject, err := finishPlanPhase(ctx, st, &cfg, selected, false)
+// finish is the back half Rewrite and Stream.Finish share: run the
+// decision phases over the final selection (ascending instruction
+// indices) without a plan record, then compose the output straight from
+// the live rewriter. Once patching has decided everything, the
+// disassembly and the rewriter's decision state are released before
+// the output is materialized, so the emit-phase peak holds only the
+// patched text, the trampolines and the output image. st is spent
+// afterwards.
+func (st *pipelineState) finish(ctx context.Context, input []byte, cfg *Config, selected []int, warnings []string) (*Result, error) {
+	rw, inject, err := finishPlanPhase(ctx, st, cfg, selected, true)
 	if err != nil {
 		return nil, err
 	}
-	return &planPipeline{
-		f:        st.f,
-		bias:     st.bias,
-		textAddr: st.textAddr,
-		textLen:  len(st.text),
-		rw:       rw,
-		insts:    len(st.insts),
-		badBytes: st.badBytes,
-		warnings: warnings,
-		gran:     cfg.Granularity,
-		inject:   inject,
-		mode:     st.mode,
-		digest:   st.universeDigest(),
-		sstats:   st.sstats,
-	}, nil
+	code, trs, sigTab := rw.Code(), rw.Trampolines(), rw.SigTab()
+	res := &Result{
+		Stats:         rw.Stats(),
+		InputSize:     len(input),
+		Insts:         len(st.insts),
+		BadBytes:      st.badBytes,
+		Disasm:        string(st.mode),
+		Recovery:      st.sstats,
+		Bias:          st.bias,
+		Trampolines:   len(trs),
+		InjectedBytes: injectedBytes(inject),
+		Locations:     rw.Results(),
+		Warnings:      warnings,
+	}
+	// rw is dead from here on; drop the instruction array it shared.
+	st.insts = nil
+
+	out, gres, err := materializeCompose(input, st.f, st.bias, st.textOff, code, trs, sigTab, cfg.Granularity, inject)
+	if err != nil {
+		return nil, err
+	}
+	res.Output, res.OutputSize = out, len(out)
+	res.Group, res.Mappings = gres.Stats, gres.Stats.Mappings
+	return res, nil
 }
 
 // buildBlob is the emit core shared by every materialization path:
@@ -912,71 +890,18 @@ func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64
 	return loader.Encode(gres, gran, shifted, entry), gres, nil
 }
 
-// materialize is the in-place emit tail: write the patched text into
-// the (privately copied) file image, then append the loader blob
-// without moving a byte of the original.
-func materialize(f *elf64.File, bias, textAddr uint64, code []byte, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
-	if err := f.PatchBytes(textAddr, code); err != nil {
-		return nil, nil, err
-	}
-	blob, gres, err := buildBlob(f.Header.Entry, bias, trs, sig, gran, inject)
-	if err != nil {
-		return nil, nil, err
-	}
-	return elf64.Append(f.Data, blob), gres, nil
-}
-
-// materializeCompose is the zero-copy emit tail: it never writes to the
-// parsed file, instead composing the output in a single allocation from
-// the original bytes, the patched text image and the loader blob —
-// byte-identical to materialize. input must be the exact bytes f was
-// parsed from (it may be a read-only mmap view), and code overlays
-// .text at textOff as validated by TextRange.
+// materializeCompose is the emit tail shared by every path: it never
+// writes to the parsed file, instead composing the output in a single
+// allocation from the original bytes, the patched text image and the
+// loader blob. input must be the exact bytes f was parsed from (it may
+// be a read-only mmap view), and code overlays .text at textOff as
+// validated by TextRange.
 func materializeCompose(input []byte, f *elf64.File, bias, textOff uint64, code []byte, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
 	blob, gres, err := buildBlob(f.Header.Entry, bias, trs, sig, gran, inject)
 	if err != nil {
 		return nil, nil, err
 	}
 	return elf64.Compose(input, textOff, code, blob), gres, nil
-}
-
-// rewriteLegacy is the pre-split monolithic pipeline: decide and
-// materialize in one pass, straight from the rewriter's own state with
-// no plan in between. It is retained as the reference implementation
-// the Plan/Apply differential tests (make plancheck) compare against,
-// with the same recovery boundary as the split phases.
-func rewriteLegacy(ctx context.Context, input []byte, cfg Config) (_ *Result, err error) {
-	defer e9err.Recover("rewrite", &err)
-	st, err := runPlanPipeline(ctx, input, cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rw := st.rw
-	trs := rw.Trampolines()
-	out, gres, err := materialize(st.f, st.bias, st.textAddr, rw.Code(), trs, rw.SigTab(), st.gran, st.inject)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Output:        out,
-		Stats:         rw.Stats(),
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(input),
-		OutputSize:    len(out),
-		Insts:         st.insts,
-		BadBytes:      st.badBytes,
-		Disasm:        string(st.mode),
-		Recovery:      st.sstats,
-		Bias:          st.bias,
-		Trampolines:   len(trs),
-		InjectedBytes: injectedBytes(st.inject),
-		Locations:     rw.Results(),
-		Warnings:      st.warnings,
-	}, nil
 }
 
 // injectedBytes sums the injected image sizes.

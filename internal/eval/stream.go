@@ -11,8 +11,8 @@ import (
 
 // StreamBench is the zero-copy streaming measurement recorded in
 // BENCH_stream.json: rewrite a browser-class (100 MB+) binary twice —
-// once through the buffered one-shot path (ReadFile + Rewrite, which
-// also holds a private input copy), once through the streaming path
+// once through the buffered one-shot path (ReadFile + Rewrite, whose
+// input copy lives on the heap), once through the streaming path
 // (mmap-backed input + Stream + single-allocation output) — and compare
 // peak RSS and allocation counts. Identical certifies the two paths
 // produced byte-for-byte the same output while doing so.

@@ -21,6 +21,12 @@ func TestMain(m *testing.M) {
 // `e9bench -stream`, where the margins are hundreds of MB — demands a
 // strict saving.
 func TestMeasureStreamSmall(t *testing.T) {
+	// The measurement children inherit this and run single-threaded.
+	// Both paths run the same pipeline, so their peaks differ only by
+	// where the input lives (10-16 MB at this size); with two threads,
+	// GC pacing moves either peak by up to 30 MB and the comparison
+	// below turns into a coin flip.
+	t.Setenv("GOMAXPROCS", "1")
 	sb, err := MeasureStream(8, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +43,11 @@ func TestMeasureStreamSmall(t *testing.T) {
 	if sb.StreamPeakBytes > sb.BufferedPeakBytes {
 		t.Fatalf("stream peak RSS %d > buffered peak %d", sb.StreamPeakBytes, sb.BufferedPeakBytes)
 	}
-	if sb.StreamAllocs >= sb.BufferedAllocs {
-		t.Fatalf("stream allocs %d >= buffered allocs %d", sb.StreamAllocs, sb.BufferedAllocs)
+	// Both paths run the same pipeline; what differs is where the input
+	// lives. The mmap path keeps it off the heap, so the streaming
+	// rewrite must allocate at least the input's size less.
+	if sb.StreamHeapBytes+uint64(sb.InputBytes) > sb.BufferedHeapBytes {
+		t.Fatalf("stream heap %d + input %d > buffered heap %d: the mmap path put the input on the heap",
+			sb.StreamHeapBytes, sb.InputBytes, sb.BufferedHeapBytes)
 	}
 }

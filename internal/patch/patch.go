@@ -119,9 +119,10 @@ type Options struct {
 	TrampolineBudget int64
 	// SkipPlan disables the per-location plan record (Sites returns
 	// nil). Consumers that materialize directly from the live rewriter —
-	// the streaming session — never read the record, and on
-	// browser-class inputs the duplicated write and trampoline bytes it
-	// holds are a significant fraction of peak memory.
+	// e9patch.Rewrite and the streaming session — never read the
+	// record, and on browser-class inputs the duplicated write and
+	// trampoline bytes it holds are a significant fraction of peak
+	// memory.
 	SkipPlan bool
 }
 

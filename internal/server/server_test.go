@@ -61,6 +61,27 @@ func waitMetric(t *testing.T, h http.Handler, name string, want float64) {
 	t.Fatalf("metric %s never reached %g (last %g)", name, want, metricValue(t, h, name))
 }
 
+// waitFlightWaiters blocks until the flight for key has want waiters.
+func waitFlightWaiters(t *testing.T, g *flightGroup, key string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		g.mu.Lock()
+		got := 0
+		if f, ok := g.m[key]; ok {
+			got = f.waiters
+		}
+		g.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight %s never reached %d waiters (last %d)", key, want, got)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestRewriteEndToEnd verifies the plain service path: the served
 // output is byte-identical to a direct library rewrite, stats arrive
 // in the header, and a repeated request is a cache hit that triggers
@@ -172,9 +193,15 @@ func TestSingleflightCollapse(t *testing.T) {
 		}()
 	}
 
-	// Hold the one real rewrite until every request is in flight, so
-	// all 64 demonstrably overlap.
-	waitMetric(t, srv.Handler(), "e9served_inflight", n)
+	// Hold the one real rewrite until every request has joined its
+	// flight, so all 64 demonstrably overlap. The inflight gauge is not
+	// enough: it counts a request before its cache lookups and its
+	// flight join, so a request could still be on its way in.
+	spec, err := parseSpec(httptest.NewRequest(http.MethodPost, url, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFlightWaiters(t, srv.flights, cacheKey(bin, spec), n)
 	if got := len(started); got != 1 {
 		t.Fatalf("%d rewrites started while gated, want 1", got)
 	}

@@ -631,11 +631,21 @@ func (a *Asm) Popfq() { a.Raw(0x9D) }
 
 // --- control flow ---
 
+// rel32 emits the displacement from the end of a rel32 field at the
+// current position to an absolute target. A target beyond ±2 GiB fails
+// the assembly instead of silently wrapping to an address 4 GiB away.
+func (a *Asm) rel32(target uint64) {
+	rel := int64(target) - int64(a.Addr()+4)
+	if rel < -1<<31 || rel > 1<<31-1 {
+		a.fail("rel32 out of range: %#x from %#x", target, a.Addr()+4)
+	}
+	a.Imm32(int32(rel))
+}
+
 // JmpRel32 emits jmp rel32 to an absolute target.
 func (a *Asm) JmpRel32(target uint64) {
 	a.Raw(0xE9)
-	next := a.Addr() + 4
-	a.Imm32(int32(int64(target) - int64(next)))
+	a.rel32(target)
 }
 
 // Jmp emits jmp rel32 to a label.
@@ -665,15 +675,13 @@ func (a *Asm) JccShort(cc Cond, l *Label) {
 // JccRel32 emits jcc rel32 to an absolute target.
 func (a *Asm) JccRel32(cc Cond, target uint64) {
 	a.Raw(0x0F, 0x80|byte(cc))
-	next := a.Addr() + 4
-	a.Imm32(int32(int64(target) - int64(next)))
+	a.rel32(target)
 }
 
 // CallRel32 emits call rel32 to an absolute target.
 func (a *Asm) CallRel32(target uint64) {
 	a.Raw(0xE8)
-	next := a.Addr() + 4
-	a.Imm32(int32(int64(target) - int64(next)))
+	a.rel32(target)
 }
 
 // Call emits call rel32 to a label.

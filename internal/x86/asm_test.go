@@ -114,6 +114,48 @@ func TestAsmRel8Overflow(t *testing.T) {
 	}
 }
 
+// TestAsmRel32Range checks the absolute-target branch emitters: a
+// target 4 GiB away is an assembly error rather than a displacement
+// that wraps, while both ±2 GiB edges still encode and decode back to
+// the requested target.
+func TestAsmRel32Range(t *testing.T) {
+	const base = 0x5555_5555_4000
+	emitters := []struct {
+		name string
+		emit func(a *Asm, target uint64)
+		size uint64 // instruction length: the displacement is from its end
+	}{
+		{"jmp", func(a *Asm, target uint64) { a.JmpRel32(target) }, 5},
+		{"jcc", func(a *Asm, target uint64) { a.JccRel32(CondNE, target) }, 6},
+		{"call", func(a *Asm, target uint64) { a.CallRel32(target) }, 5},
+	}
+	for _, e := range emitters {
+		next := uint64(base) + e.size
+		for _, target := range []uint64{next + 1<<32, next - 1<<32, next + 1<<31, next - 1<<31 - 1} {
+			a := NewAsm(base)
+			e.emit(a, target)
+			if a.Err() == nil {
+				t.Errorf("%s to %#x from %#x: want a range error", e.name, target, next)
+			}
+		}
+		for _, target := range []uint64{next + 1<<31 - 1, next - 1<<31} {
+			a := NewAsm(base)
+			e.emit(a, target)
+			code, err := a.Finish()
+			if err != nil {
+				t.Fatalf("%s to %#x: %v", e.name, target, err)
+			}
+			in, err := Decode(code, base)
+			if err != nil {
+				t.Fatalf("%s to %#x: decode: %v", e.name, target, err)
+			}
+			if in.Target() != target {
+				t.Errorf("%s: decodes to %#x, want %#x", e.name, in.Target(), target)
+			}
+		}
+	}
+}
+
 func decodeAllTest(t *testing.T, code []byte, addr uint64) []Inst {
 	t.Helper()
 	var out []Inst

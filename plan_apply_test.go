@@ -16,8 +16,9 @@ import (
 
 // Differential suite for the plan/apply split (make plancheck): for
 // every corpus binary × tactic config × parallelism width,
-// Apply(Plan(input)) must be byte-identical to the legacy monolithic
-// rewrite, the plan encoding must be deterministic (and independent of
+// Apply(Plan(input)) must be byte-identical to the direct Rewrite,
+// which decides and composes from the live rewriter with no plan in
+// between; the plan encoding must be deterministic (and independent of
 // the worker count), and a plan must survive a JSON round trip intact.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -66,19 +67,19 @@ func planCorpus(t *testing.T) []struct {
 }
 
 // TestPlanApplyEquivalence is the tentpole differential: across the
-// full corpus × tactic-config matrix at parallelism 1, 2 and 8, the
-// two-phase pipeline must reproduce the legacy single-pass rewrite
-// exactly — output bytes, statistics, per-location outcomes, warnings
-// and counters — and the plan encoding must not depend on the width.
+// full corpus × tactic-config matrix at parallelism 1, 2 and 8, plan
+// replay must reproduce the single-pass Rewrite exactly — output
+// bytes, statistics, per-location outcomes, warnings and counters —
+// and the plan encoding must not depend on the width.
 func TestPlanApplyEquivalence(t *testing.T) {
 	for _, be := range planCorpus(t) {
 		for _, tc := range parallelCorpusConfigs {
 			cfg := tc.cfg
 			cfg.ReserveVA = append(cfg.ReserveVA, workload.ReserveVA()...)
 			cfg.Parallelism = 1
-			legacy, err := rewriteLegacy(context.Background(), be.bin, cfg)
+			direct, err := Rewrite(be.bin, cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: legacy: %v", be.name, tc.name, err)
+				t.Fatalf("%s/%s: rewrite: %v", be.name, tc.name, err)
 			}
 			var firstEnc []byte
 			for _, par := range []int{1, 2, 8} {
@@ -101,7 +102,7 @@ func TestPlanApplyEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: apply: %v", label, err)
 				}
-				assertSameParallelResult(t, legacy, res, label)
+				assertSameParallelResult(t, direct, res, label)
 				if res.Trampolines != p.TrampolineCount() {
 					t.Errorf("%s: plan counts %d trampolines, result %d",
 						label, p.TrampolineCount(), res.Trampolines)

@@ -26,7 +26,7 @@ type Stream struct {
 	st       *pipelineState
 	insts    int // cached count: st is released during Finish
 	badBytes int
-	seen     map[int]struct{}
+	seen     map[int]struct{} // built on the first add that needs dedup
 	selected []int
 	diag     []Selector // replayed for coordinate diagnostics when nothing matched
 	closed   bool
@@ -39,14 +39,13 @@ type Stream struct {
 // cap are enforced here too.
 func NewStream(ctx context.Context, input []byte, cfg Config) (_ *Stream, err error) {
 	defer e9err.Recover("stream", &err)
-	st, err := openPipeline(ctx, input, &cfg, false)
+	st, err := openPipeline(ctx, input, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stream{
 		cfg: cfg, input: input, st: st,
 		insts: len(st.insts), badBytes: st.badBytes,
-		seen: make(map[int]struct{}),
 	}
 	if cfg.Select != nil {
 		if _, err := s.Select(cfg.Select); err != nil {
@@ -79,21 +78,49 @@ func (s *Stream) guard() error {
 // returning how many were new. The patch-site limit is enforced
 // incrementally so a hostile stream fails at the message that crosses
 // the cap instead of after buffering an unbounded selection.
+//
+// A first selection that is already strictly ascending (as the
+// built-in selectors return it) is adopted as is, so a one-selection
+// session — Rewrite's shape — keeps no dedup state at all; the set is
+// built only once a second selection arrives.
 func (s *Stream) add(idxs []int) (int, error) {
 	added := 0
-	for _, i := range idxs {
-		if _, dup := s.seen[i]; dup {
-			continue
+	if len(s.selected) == 0 && ascending(idxs) {
+		// Cap the adopted slice so a later append never writes into
+		// the selector's backing array.
+		s.selected, added = idxs[:len(idxs):len(idxs)], len(idxs)
+	} else {
+		if s.seen == nil {
+			s.seen = make(map[int]struct{}, len(s.selected)+len(idxs))
+			for _, i := range s.selected {
+				s.seen[i] = struct{}{}
+			}
 		}
-		s.seen[i] = struct{}{}
-		s.selected = append(s.selected, i)
-		added++
+		for _, i := range idxs {
+			if _, dup := s.seen[i]; dup {
+				continue
+			}
+			s.seen[i] = struct{}{}
+			s.selected = append(s.selected, i)
+			added++
+		}
 	}
 	if lim := s.cfg.Limits; lim.MaxPatchSites > 0 && len(s.selected) > lim.MaxPatchSites {
 		return added, e9err.Limit("match", e9err.ReasonTooManySites,
 			"e9patch: stream selected %d patch sites, limit is %d", len(s.selected), lim.MaxPatchSites)
 	}
 	return added, nil
+}
+
+// ascending reports whether idxs is strictly ascending (so also free of
+// duplicates).
+func ascending(idxs []int) bool {
+	for k := 1; k < len(idxs); k++ {
+		if idxs[k] <= idxs[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Select runs a selector over the disassembly and merges its matches
@@ -166,14 +193,12 @@ func (s *Stream) Reserve(lo, hi uint64) error {
 // selection and emits the rewritten binary via the single-allocation
 // compose path. The session cannot be used afterwards.
 //
-// Unlike the plan/apply pipeline, a session has no artifact to keep:
-// once patching has decided everything, the disassembly, the selection
-// bookkeeping and the rewriter's decision state are released before the
-// output is materialized (SkipPlan above means there is no per-location
-// record either), so the emit-phase peak holds only the patched text,
-// the trampolines and the output image. On browser-class inputs that —
-// plus the mmap'd input staying off the heap — is what keeps the
-// streaming session's peak memory well under the one-shot rewrite's.
+// A session has no plan artifact to keep: once patching has decided
+// everything, the disassembly, the selection bookkeeping and the
+// rewriter's decision state are released before the output is
+// materialized. On browser-class inputs that — plus the mmap'd input
+// staying off the heap — is what keeps the streaming session's peak
+// memory under a buffered rewrite's.
 func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
 	if err := s.guard(); err != nil {
@@ -188,42 +213,7 @@ func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 			warnings = append(warnings, diagnoseSelection(sel, s.st.insts, nil, s.st.bias)...)
 		}
 	}
-
-	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, s.selected, true)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pull everything the emit phase and the Result need out of the
-	// session state, then drop the rest — most importantly the
-	// instruction array and the rewriter's working copies.
-	f, bias, textOff := s.st.f, s.st.bias, s.st.textOff
-	mode, sstats := s.st.mode, s.st.sstats
-	code, trs, sigTab := rw.Code(), rw.Trampolines(), rw.SigTab()
-	stats, locs := rw.Stats(), rw.Results()
+	st, selected := s.st, s.selected
 	s.st, s.seen, s.selected, s.diag = nil, nil, nil, nil
-	rw = nil
-
-	out, gres, err := materializeCompose(s.input, f, bias, textOff,
-		code, trs, sigTab, s.cfg.Granularity, inject)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Output:        out,
-		Stats:         stats,
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(s.input),
-		OutputSize:    len(out),
-		Insts:         s.insts,
-		BadBytes:      s.badBytes,
-		Disasm:        string(mode),
-		Recovery:      sstats,
-		Bias:          bias,
-		Trampolines:   len(trs),
-		InjectedBytes: injectedBytes(inject),
-		Locations:     locs,
-		Warnings:      warnings,
-	}, nil
+	return st.finish(ctx, s.input, &s.cfg, selected, warnings)
 }

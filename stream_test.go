@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"e9patch/internal/workload"
+	"e9patch/internal/x86"
 )
 
 // TestStreamMatchesRewrite is the streaming differential: a session fed
@@ -137,5 +138,57 @@ func TestStreamSiteLimit(t *testing.T) {
 	}
 	if _, err := s.Select(SelectAll); err == nil {
 		t.Fatal("selection beyond MaxPatchSites: want error")
+	}
+}
+
+// TestStreamAdoptsFirstSelection covers the dedup-free first
+// selection: later selections still deduplicate against it, appends
+// never write into the selector's own backing array, and the output
+// still matches Rewrite.
+func TestStreamAdoptsFirstSelection(t *testing.T) {
+	ctx := context.Background()
+	bin := planCorpus(t)[0].bin
+	cfg := Config{Select: SelectJumps, ReserveVA: workload.ReserveVA()}
+	want, err := Rewrite(bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backing []int
+	scfg := cfg
+	scfg.Select = func(insts []x86.Inst) []int {
+		idxs := SelectJumps(insts)
+		backing = append(idxs, -1) // spare capacity past the result
+		return backing[:len(idxs)]
+	}
+	s, err := NewStream(ctx, bin, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []uint64
+	for _, loc := range want.Locations {
+		addrs = append(addrs, loc.Addr)
+	}
+	if n, err := s.SelectAddrs(addrs...); err != nil || n != 0 {
+		t.Fatalf("reselecting every location: %d new, err %v; want 0, nil", n, err)
+	}
+	if _, err := s.Select(SelectAll); err != nil {
+		t.Fatal(err)
+	}
+	if backing[len(backing)-1] != -1 {
+		t.Fatal("a later selection wrote into the first selector's backing array")
+	}
+	if s.Selected() != s.Insts() {
+		t.Fatalf("%d selected after SelectAll, want %d", s.Selected(), s.Insts())
+	}
+	s2, err := NewStream(ctx, bin, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Output, got.Output) {
+		t.Error("adopted one-selection stream output differs from Rewrite")
 	}
 }
